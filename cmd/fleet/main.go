@@ -15,7 +15,6 @@
 //	fleet -scenario coldedge -sessions 200  # edge caches: single-flight vs stampede
 //	fleet -scenario edgemesh -sessions 80   # four tight edges, LRU vs LFU
 //	fleet -scenario flashcrowd -cpuprofile cpu.out -memprofile mem.out
-//	fleet -scenario megacrowd -engine goroutine  # bisect against the blocking engine
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		name       = flag.String("scenario", "flashcrowd", "built-in scenario name (see -list)")
 		sessions   = flag.Int("sessions", 0, "total session count (0 = scenario default)")
 		seed       = flag.Int64("seed", 1, "scenario seed; all randomness derives from it")
-		engine     = flag.String("engine", fleet.EngineEventLoop, "session engine: eventloop (O(cores) goroutines, borrowed zero-copy reads) or goroutine (one goroutine per path)")
 		list       = flag.Bool("list", false, "list built-in scenarios and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
@@ -83,7 +81,6 @@ func main() {
 	if err != nil {
 		fail("fleet: %v", err)
 	}
-	sc.Engine = *engine
 	report, err := fleet.Run(context.Background(), sc)
 	if err != nil {
 		fail("fleet: %v", err)

@@ -68,10 +68,6 @@ func Guard(w io.Writer, baselinePath string, maxFactor float64, opt Options) err
 		if err != nil {
 			return err
 		}
-		// Match the engine the artifacts are recorded on (FleetArtifact
-		// pins the event-loop engine) so the wall-time factor compares
-		// like with like.
-		sc.Engine = fleet.EngineEventLoop
 		// Mega-scale experiments get one repetition: a 20k-session run
 		// is long enough that best-of-N would turn the CI gate into a
 		// multi-minute step, and proportionally far less noisy than the

@@ -24,9 +24,8 @@ type Experiment struct {
 	AllocBytes uint64  `json:"alloc_bytes"`
 	// PeakGoroutines and PeakHeapBytes are sampled over the run by a
 	// wall-clock poller: the highest live-goroutine count and heap-alloc
-	// size observed. They are the footprint half of the event-loop
-	// engine's story — the QoE metrics must not move when the engine
-	// changes, these must.
+	// size observed: the footprint the event-loop session engine exists
+	// to bound, alongside the QoE metrics.
 	PeakGoroutines int64              `json:"peak_goroutines,omitempty"`
 	PeakHeapBytes  uint64             `json:"peak_heap_bytes,omitempty"`
 	Metrics        map[string]float64 `json:"metrics"`
@@ -199,11 +198,6 @@ func FleetArtifact(w io.Writer, opt Options, flashSessions, denseSessions, megaS
 		if err != nil {
 			return nil, err
 		}
-		// The benchmarks run on the event-loop engine: the QoE metrics are
-		// byte-identical to the goroutine engine's per seed (the cross-
-		// engine parity tests pin that), while peak_goroutines and
-		// peak_heap_bytes record the footprint the engine exists to bound.
-		sc.Engine = fleet.EngineEventLoop
 		var rep *fleet.Report
 		exp, err := measure(fmt.Sprintf("%s_%d", c.scenario, c.sessions), nil, func() error {
 			var rerr error
@@ -246,7 +240,6 @@ func chaosExperiment(opt Options, chaosSeeds int) (Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc.Engine = fleet.EngineEventLoop
 		rep, err := fleet.Run(context.Background(), sc)
 		if err != nil {
 			return nil, err

@@ -6,12 +6,12 @@ import (
 )
 
 // drawJitter replays the first n jitter draws of a path constructed
-// from (seed, id), exactly as newPath seeds it.
+// from (seed, id), exactly as newEvPath seeds it.
 func drawJitter(seed int64, id, n int, bound int64) []int64 {
-	p := &path{rng: uint64(seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9}
+	rng := pathRNG(seed, id)
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = p.jitter(bound)
+		out[i] = splitmixDraw(&rng, bound)
 	}
 	return out
 }
@@ -72,15 +72,15 @@ func TestBackoffJitterDecorrelated(t *testing.T) {
 
 // TestBackoffJitterBounds: non-positive bounds must not panic or draw.
 func TestBackoffJitterBounds(t *testing.T) {
-	p := &path{rng: 7}
-	before := p.rng
-	if got := p.jitter(0); got != 0 {
+	rng := uint64(7)
+	before := rng
+	if got := splitmixDraw(&rng, 0); got != 0 {
 		t.Errorf("jitter(0) = %d, want 0", got)
 	}
-	if got := p.jitter(-5); got != 0 {
+	if got := splitmixDraw(&rng, -5); got != 0 {
 		t.Errorf("jitter(-5) = %d, want 0", got)
 	}
-	if p.rng != before {
+	if rng != before {
 		t.Error("jitter with non-positive bound consumed RNG state")
 	}
 }

@@ -4,41 +4,7 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"repro/internal/netem"
 )
-
-// chunkPool recycles chunk body buffers between fetch loops and the
-// chunk manager: a path checks a buffer out before its range request
-// and the manager returns it after the chunk's bytes have been
-// delivered in order (and written to the sink). Without recycling,
-// every request allocated a fresh chunk-sized body whose first-touch
-// page faults dominated fleet-scale read copies.
-var chunkPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
-
-// maxPooledChunk bounds recycled chunk buffers so a one-off huge bulk
-// chunk cannot pin memory.
-const maxPooledChunk = 4 << 20
-
-func getChunkBuf(n int64) []byte {
-	bp := chunkPool.Get().(*[]byte)
-	if int64(cap(*bp)) >= n {
-		return (*bp)[:n]
-	}
-	// Too small: let it go and allocate at the requested size, so the
-	// pool converges on the session's working chunk size.
-	return make([]byte, n)
-}
-
-func putChunkBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledChunk {
-		return
-	}
-	b = b[:0]
-	chunkPool.Put(&b)
-}
 
 // Span is a half-open byte range [Off, Off+Size) of the video stream.
 type Span struct {
@@ -49,17 +15,15 @@ type Span struct {
 // End returns the exclusive end offset.
 func (s Span) End() int64 { return s.Off + s.Size }
 
-// chunkPayload is one completed chunk in the out-of-order store. The
-// blocking engine stores an owned contiguous buffer (data, recycled
-// through chunkPool after delivery); the evented engine stores borrowed
-// connection views (views, in stream order) plus the release callback
-// that returns their bytes to the connection once the chunk has been
-// delivered — the zero-copy path never materialises the chunk.
+// chunkPayload is one completed chunk in the out-of-order store: the
+// chunk's bytes as views in stream order, plus the release callback
+// that returns borrowed connection views to their connection once the
+// chunk has been delivered — the zero-copy path never materialises the
+// chunk. release is nil for owned bytes.
 type chunkPayload struct {
-	data    []byte   // owned buffer; the payload's bytes when release == nil
-	views   [][]byte // borrowed views; the payload's bytes when release != nil
-	release func()   // returns the views' bytes to their connection
-	size    int64    // total payload bytes (frontier advance)
+	views   [][]byte
+	release func()
+	size    int64 // total payload bytes (frontier advance)
 }
 
 // chunkManager hands out byte ranges to path fetchers and reassembles
@@ -69,14 +33,13 @@ type chunkPayload struct {
 // fills, which also realises the "complete transfers at the same time"
 // goal when the scheduler misjudges.
 type chunkManager struct {
-	// deliverMu serialises whole complete() calls so the in-order
+	// deliverMu serialises whole completeViews calls so the in-order
 	// prefix reaches the sink and the playout buffer in frontier order
 	// even when both paths finish chunks simultaneously. It is always
 	// acquired before mu.
 	deliverMu sync.Mutex
 
-	mu   sync.Mutex
-	cond *netem.Cond // clock-aware: paths parked in acquire are jumpable
+	mu sync.Mutex
 
 	total    int64 // content length; -1 until the first bootstrap
 	next     int64 // next unassigned offset
@@ -90,10 +53,10 @@ type chunkManager struct {
 	stopped bool
 
 	// notify, when set, is invoked (outside mu) after every state change
-	// that Broadcasts cond. The evented engine points it at the session
+	// that can unblock a waiting path. The session points it at its
 	// loop so parked path machines re-poll acquireTry at exactly the
-	// instants a blocking path would have woken from cond.Wait. It must
-	// be installed before the first path starts and never changed.
+	// instant of the change. It must be installed before the first path
+	// starts and never changed.
 	notify func()
 
 	sink io.Writer // receives the in-order byte stream (may be nil)
@@ -107,23 +70,21 @@ type chunkManager struct {
 	limit func() int64
 }
 
-func newChunkManager(clock *netem.Clock, maxOOO int, sink io.Writer) *chunkManager {
+func newChunkManager(maxOOO int, sink io.Writer) *chunkManager {
 	if maxOOO < 1 {
 		maxOOO = 1
 	}
-	cm := &chunkManager{
+	return &chunkManager{
 		total:    -1,
 		stored:   make(map[int64]chunkPayload),
 		storedBy: make(map[int64]int),
 		maxOOO:   maxOOO,
 		sink:     sink,
 	}
-	cm.cond = netem.NewCond(clock, &cm.mu)
-	return cm
 }
 
-// notifyAfter runs the evented re-poll hook; call after releasing mu at
-// any site that Broadcasts cond.
+// notifyAfter runs the re-poll hook; call after releasing mu at any
+// site that can unblock a waiting path.
 func (cm *chunkManager) notifyAfter() {
 	if cm.notify != nil {
 		cm.notify()
@@ -136,7 +97,6 @@ func (cm *chunkManager) setTotal(n int64) {
 	if cm.total < 0 {
 		cm.total = n
 	}
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	cm.notifyAfter()
 }
@@ -145,7 +105,6 @@ func (cm *chunkManager) setTotal(n int64) {
 func (cm *chunkManager) setLimit(f func() int64) {
 	cm.mu.Lock()
 	cm.limit = f
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	cm.notifyAfter()
 }
@@ -154,12 +113,11 @@ func (cm *chunkManager) setLimit(f func() int64) {
 func (cm *chunkManager) setGate(on bool) {
 	cm.mu.Lock()
 	cm.gate = on
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	cm.notifyAfter()
 }
 
-// stop aborts all waiters; acquire returns ok=false afterwards. Any
+// stop ends assignment; acquireTry reports over afterwards. Any
 // undelivered view payloads still parked in the out-of-order store pin
 // connection segment memory, so their bytes are returned to the owning
 // connections here.
@@ -179,7 +137,6 @@ func (cm *chunkManager) stop() {
 		delete(cm.stored, off)
 		delete(cm.storedBy, off)
 	}
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	for _, f := range rel {
 		f()
@@ -236,37 +193,11 @@ func (cm *chunkManager) tryAcquireLocked(want int64) (Span, bool) {
 	return Span{}, false
 }
 
-// acquire blocks until work is available for path i and returns the next
-// span to fetch, sized by want but clamped to the remaining content.
-// part is path i's clock handle, used for the clock-visible wait.
-// ok=false means the stream is fully delivered or the manager stopped.
-func (cm *chunkManager) acquire(i int, want int64, part *netem.Participant) (Span, bool) {
-	if want < 1 {
-		want = 1
-	}
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	for {
-		if cm.stopped || cm.doneLocked() {
-			return Span{}, false
-		}
-		if s, ok := cm.tryAcquireLocked(want); ok {
-			return s, true
-		}
-		if !cm.cond.Wait(part) {
-			// Emulation clock stopped: no further deliveries or gate
-			// flips will ever signal this wait.
-			return Span{}, false
-		}
-	}
-}
-
-// acquireTry is the evented engine's non-parking acquire. It hands out a
-// span when one is available now (ok), reports the stream delivered or
-// the manager stopped (over), or — when neither — tells the caller to
-// stay idle until the next notify callback re-polls it. want is pinned
-// by the caller across re-polls, mirroring the blocking acquire whose
-// want is fixed for the whole wait.
+// acquireTry hands out the next span to fetch, sized by want but
+// clamped to the remaining content, when one is available now (ok);
+// reports the stream delivered or the manager stopped (over); or —
+// when neither — tells the caller to stay idle until the next notify
+// callback re-polls it. The caller pins want across re-polls.
 func (cm *chunkManager) acquireTry(want int64) (s Span, ok, over bool) {
 	if want < 1 {
 		want = 1
@@ -280,15 +211,10 @@ func (cm *chunkManager) acquireTry(want int64) (s Span, ok, over bool) {
 	return s, ok, false
 }
 
-// complete records a finished chunk fetched by path i and delivers any
-// newly in-order prefix to the sink.
-func (cm *chunkManager) complete(i int, s Span, data []byte) {
-	cm.deliver(i, s, chunkPayload{data: data, size: int64(len(data))})
-}
-
-// completeViews is complete for the evented engine's zero-copy path:
-// the chunk's bytes live in borrowed connection views that are written
-// to the sink in order and then returned to the connection via release.
+// completeViews records a finished chunk fetched by path i and delivers
+// any newly in-order prefix to the sink. The chunk's bytes live in
+// borrowed connection views that are written to the sink in order and
+// then returned to the connection via release (nil for owned bytes).
 // size is the total view length (the span's size).
 func (cm *chunkManager) completeViews(i int, s Span, views [][]byte, release func(), size int64) {
 	cm.deliver(i, s, chunkPayload{views: views, release: release, size: size})
@@ -321,17 +247,12 @@ func (cm *chunkManager) deliver(i int, s Span, pay chunkPayload) {
 	frontier := cm.frontier
 	onDeliver := cm.onDeliver
 	sink := cm.sink
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 
 	if sink != nil {
 		for _, d := range delivered {
-			if d.release == nil {
-				sink.Write(d.data)
-			} else {
-				for _, v := range d.views {
-					sink.Write(v)
-				}
+			for _, v := range d.views {
+				sink.Write(v)
 			}
 		}
 	}
@@ -339,13 +260,11 @@ func (cm *chunkManager) deliver(i int, s Span, pay chunkPayload) {
 		onDeliver(frontier)
 	}
 	// The delivered payloads' bytes have reached the sink (which copies)
-	// and every callback has run: recycle owned buffers for future
-	// fetches and hand borrowed views back to their connections.
+	// and every callback has run: hand borrowed views back to their
+	// connections.
 	for _, d := range delivered {
 		if d.release != nil {
 			d.release()
-		} else {
-			putChunkBuf(d.data)
 		}
 	}
 	cm.notifyAfter()
@@ -356,7 +275,6 @@ func (cm *chunkManager) fail(s Span) {
 	cm.mu.Lock()
 	cm.retry = append(cm.retry, s)
 	sort.Slice(cm.retry, func(a, b int) bool { return cm.retry[a].Off < cm.retry[b].Off })
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	cm.notifyAfter()
 }

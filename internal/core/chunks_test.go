@@ -2,27 +2,32 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
+
+// complete records a finished chunk of owned bytes fetched by path i.
+func (cm *chunkManager) complete(i int, s Span, data []byte) {
+	cm.completeViews(i, s, [][]byte{data}, nil, int64(len(data)))
+}
 
 func TestChunkManagerInOrderDelivery(t *testing.T) {
 	var sink bytes.Buffer
-	cm := newChunkManager(nil, 1, &sink)
+	cm := newChunkManager(1, &sink)
 	cm.setGate(true)
 	cm.setTotal(100)
 
-	s1, ok := cm.acquire(0, 40, nil)
+	s1, ok, _ := cm.acquireTry(40)
 	if !ok || s1.Off != 0 || s1.Size != 40 {
 		t.Fatalf("span1 = %+v, %v", s1, ok)
 	}
-	s2, ok := cm.acquire(1, 40, nil)
+	s2, ok, _ := cm.acquireTry(40)
 	if !ok || s2.Off != 40 || s2.Size != 40 {
 		t.Fatalf("span2 = %+v, %v", s2, ok)
 	}
 	// Last span clamps to total.
-	s3, ok := cm.acquire(0, 40, nil)
+	s3, ok, _ := cm.acquireTry(40)
 	if !ok || s3.Off != 80 || s3.Size != 20 {
 		t.Fatalf("span3 = %+v, %v", s3, ok)
 	}
@@ -49,120 +54,93 @@ func TestChunkManagerInOrderDelivery(t *testing.T) {
 	}
 
 	// After completion, acquire reports done.
-	if _, ok := cm.acquire(0, 10, nil); ok {
-		t.Fatal("acquire succeeded after done")
+	if _, ok, over := cm.acquireTry(10); ok || !over {
+		t.Fatalf("acquire after done = ok %v, over %v", ok, over)
 	}
 }
 
 func TestChunkManagerOutOfOrderLimitBlocks(t *testing.T) {
-	cm := newChunkManager(nil, 1, nil)
+	cm := newChunkManager(1, nil)
 	cm.setGate(true)
 	cm.setTotal(1000)
 
-	a, _ := cm.acquire(0, 100, nil) // [0,100) path 0 (will be the gap)
-	b, _ := cm.acquire(1, 100, nil) // [100,200) path 1
+	a, _, _ := cm.acquireTry(100) // [0,100) path 0 (will be the gap)
+	b, _, _ := cm.acquireTry(100) // [100,200) path 1
 	cm.complete(1, b, make([]byte, 100))
 
-	// Path 1 asking for fresh work must block: one OOO chunk stored.
-	got := make(chan Span, 1)
-	go func() {
-		s, ok := cm.acquire(1, 100, nil)
-		if ok {
-			got <- s
-		}
-	}()
-	select {
-	case s := <-got:
-		t.Fatalf("acquire returned %+v despite full OOO store", s)
-	case <-time.After(30 * time.Millisecond): //detlint:allow wallclock -- short real wait proves no chunk is ready yet
+	// Path 1 asking for fresh work must wait: one OOO chunk stored.
+	if s, ok, over := cm.acquireTry(100); ok || over {
+		t.Fatalf("acquire returned %+v (over %v) despite full OOO store", s, over)
 	}
-	// Gap fills: frontier advances, the blocked acquire proceeds.
+	// Gap fills: frontier advances, the waiting path's re-poll proceeds.
+	notified := 0
+	cm.notify = func() { notified++ }
 	cm.complete(0, a, make([]byte, 100))
-	select {
-	case s := <-got:
-		if s.Off != 200 {
-			t.Fatalf("unblocked span = %+v, want off 200", s)
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("acquire still blocked after gap filled")
+	if notified == 0 {
+		t.Fatal("gap fill did not notify waiting paths")
+	}
+	s, ok, _ := cm.acquireTry(100)
+	if !ok || s.Off != 200 {
+		t.Fatalf("unblocked span = %+v, %v, want off 200", s, ok)
 	}
 }
 
 func TestChunkManagerRetryPriority(t *testing.T) {
-	cm := newChunkManager(nil, 1, nil)
+	cm := newChunkManager(1, nil)
 	cm.setGate(true)
 	cm.setTotal(1000)
-	s, _ := cm.acquire(0, 100, nil)
+	s, _, _ := cm.acquireTry(100)
 	cm.fail(s)
 	// The retried span is handed out before fresh work, to any path.
-	r, ok := cm.acquire(1, 500, nil)
+	r, ok, _ := cm.acquireTry(500)
 	if !ok || r != s {
 		t.Fatalf("retry span = %+v, want %+v", r, s)
 	}
 }
 
 func TestChunkManagerRetryBypassesGateAndLimit(t *testing.T) {
-	cm := newChunkManager(nil, 1, nil)
+	cm := newChunkManager(1, nil)
 	cm.setGate(true)
 	cm.setTotal(300)
-	a, _ := cm.acquire(0, 100, nil)
-	b, _ := cm.acquire(1, 100, nil)
+	a, _, _ := cm.acquireTry(100)
+	b, _, _ := cm.acquireTry(100)
 	cm.complete(1, b, make([]byte, 100)) // OOO store full
 	cm.setGate(false)                    // and gate closed
 	cm.fail(a)
-	r, ok := cm.acquire(1, 100, nil)
+	r, ok, _ := cm.acquireTry(100)
 	if !ok || r != a {
 		t.Fatalf("retry under closed gate = %+v, %v, want %+v", r, ok, a)
 	}
 }
 
 func TestChunkManagerGateBlocksFreshWork(t *testing.T) {
-	cm := newChunkManager(nil, 1, nil)
+	cm := newChunkManager(1, nil)
 	cm.setTotal(1000) // gate starts closed
-	got := make(chan Span, 1)
-	go func() {
-		s, ok := cm.acquire(0, 100, nil)
-		if ok {
-			got <- s
-		}
-	}()
-	select {
-	case s := <-got:
-		t.Fatalf("acquire returned %+v with closed gate", s)
-	case <-time.After(30 * time.Millisecond): //detlint:allow wallclock -- short real wait proves no chunk is ready yet
+	if s, ok, over := cm.acquireTry(100); ok || over {
+		t.Fatalf("acquire returned %+v (over %v) with closed gate", s, over)
 	}
 	cm.setGate(true)
-	select {
-	case <-got:
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("acquire still blocked after gate opened")
+	if _, ok, _ := cm.acquireTry(100); !ok {
+		t.Fatal("acquire still waiting after gate opened")
 	}
 }
 
 func TestChunkManagerStopUnblocks(t *testing.T) {
-	cm := newChunkManager(nil, 1, nil)
+	cm := newChunkManager(1, nil)
 	cm.setGate(true) // no total yet: acquire must wait
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := cm.acquire(0, 100, nil)
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
+	if _, ok, over := cm.acquireTry(100); ok || over {
+		t.Fatalf("acquire without a total = ok %v, over %v, want wait", ok, over)
+	}
 	cm.stop()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("acquire returned ok after stop")
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("acquire not released by stop")
+	if _, ok, over := cm.acquireTry(100); ok || !over {
+		t.Fatalf("acquire after stop = ok %v, over %v, want over", ok, over)
 	}
 }
 
 func TestChunkManagerOnDeliverFrontier(t *testing.T) {
 	var mu sync.Mutex
 	var frontiers []int64
-	cm := newChunkManager(nil, 2, nil)
+	cm := newChunkManager(2, nil)
 	cm.onDeliver = func(f int64) {
 		mu.Lock()
 		frontiers = append(frontiers, f)
@@ -170,9 +148,9 @@ func TestChunkManagerOnDeliverFrontier(t *testing.T) {
 	}
 	cm.setGate(true)
 	cm.setTotal(300)
-	a, _ := cm.acquire(0, 100, nil)
-	b, _ := cm.acquire(1, 100, nil)
-	c, _ := cm.acquire(0, 100, nil)
+	a, _, _ := cm.acquireTry(100)
+	b, _, _ := cm.acquireTry(100)
+	c, _, _ := cm.acquireTry(100)
 	cm.complete(1, b, make([]byte, 100)) // stored, no callback
 	cm.complete(0, c, make([]byte, 100)) // stored, no callback
 	cm.complete(0, a, make([]byte, 100)) // releases everything
@@ -185,7 +163,7 @@ func TestChunkManagerOnDeliverFrontier(t *testing.T) {
 
 func TestChunkManagerConcurrentPathsDeliverAllBytes(t *testing.T) {
 	var sink bytes.Buffer
-	cm := newChunkManager(nil, 1, &sink)
+	cm := newChunkManager(1, &sink)
 	cm.setGate(true)
 	total := int64(1 << 20)
 	cm.setTotal(total)
@@ -195,9 +173,14 @@ func TestChunkManagerConcurrentPathsDeliverAllBytes(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for {
-				s, ok := cm.acquire(p, 64<<10, nil)
-				if !ok {
+				s, ok, over := cm.acquireTry(64 << 10)
+				if over {
 					return
+				}
+				if !ok {
+					// The other path holds the gap: re-poll once it ran.
+					runtime.Gosched()
+					continue
 				}
 				data := make([]byte, s.Size)
 				for i := range data {

@@ -12,19 +12,19 @@ import (
 	"repro/internal/origin"
 )
 
-// This file is the event-loop session engine: the same MSPlayer session
-// RunAs drives with parked goroutines, re-expressed as state machines
-// that run as steps of one shared netem.Loop. A fleet of N sessions
-// needs O(cores) goroutines instead of O(N): each path is a callback
-// machine over httpx.EventTransport (borrowed zero-copy reads included)
-// and the gater is a timer machine. Every state change that would have
-// Broadcast a blocking path awake instead enqueues a re-poll step, so
-// the machines act at exactly the instants the goroutines would have —
-// the two engines are wire-identical and produce identical Metrics.
+// This file is the session engine: an MSPlayer session as state
+// machines that run as steps of one netem.Loop, shared by every session
+// of a fleet. A fleet of N sessions needs O(cores) goroutines instead
+// of O(N): each path is a callback machine over httpx.EventTransport
+// (borrowed zero-copy reads included) and the gater is a timer machine.
+// Every state change a parked machine must observe — chunk completion,
+// gate flips, buffer creation, the seal — enqueues a re-poll step, so
+// machines act at exactly the virtual instant of the change and the
+// session's timeline is a pure function of its seed.
 
 // EventedSession is the handle RunEvented returns. Its only operation,
 // Interrupt, force-finishes the session after the emulation clock has
-// stopped (the evented analogue of RunAs observing a false Cond.Wait).
+// stopped.
 type EventedSession struct {
 	s *evSession
 }
@@ -37,11 +37,10 @@ func (es *EventedSession) Interrupt() {
 	es.s.loop.Do(es.s.interrupt)
 }
 
-// evSession owns the per-session machine set and the completion
-// bookkeeping RunAs keeps on its own goroutine: livePaths mirrors the
-// pathsExited trigger, liveMachines is the drain barrier, and teardown
-// runs inline at the trigger instant instead of on a woken goroutine.
-// All fields are loop-confined.
+// evSession owns the per-session machine set and its completion
+// bookkeeping: livePaths detects every path having exited,
+// liveMachines is the drain barrier, and teardown runs inline at the
+// trigger instant. All fields are loop-confined.
 type evSession struct {
 	p    *Player
 	loop *netem.Loop
@@ -49,11 +48,10 @@ type evSession struct {
 
 	paths []*evPath
 	gater *evGater
-	// waitq holds the paths parked in acquire in the order they parked —
-	// the image of the blocking Cond's FIFO waiter list. Re-polling in
-	// park order matters: when a gate-off leaves less assignable media
-	// than the parked paths want, the longest-waiting path wins the span,
-	// exactly as Broadcast wakes (and the mutex hands over) in park order.
+	// waitq holds the paths parked in acquire in the order they parked.
+	// Re-polling in park order matters: when a gate-off leaves less
+	// assignable media than the parked paths want, the longest-waiting
+	// path wins the span, so contested-span assignment is deterministic.
 	waitq        []*evPath
 	livePaths    int
 	liveMachines int // path machines + gater still to unwind
@@ -64,13 +62,12 @@ type evSession struct {
 
 // RunEvented starts the session as event-loop machines on loop and
 // returns immediately. done is invoked from a loop step at the virtual
-// instant the last worker machine unwinds — the same instant RunAs
-// would have returned — with the sealed Metrics and the RunAs error.
-// External context cancellation is not supported: a fleet session's
-// context only ever fires at teardown, where the evented engine aborts
-// transfers directly. The caller keeps the clock alive (a registered
-// participant parked in a Cond, typically); if the clock stops before
-// the session completes, call Interrupt to collect the partial result.
+// instant the last machine unwinds, with the sealed Metrics and the
+// session error (nil for a clean stop). The caller keeps the clock
+// alive (a registered participant parked in a Cond, typically); if the
+// clock stops before the session completes, call Interrupt to collect
+// the partial result. Run is the blocking driver around it, which also
+// handles context cancellation.
 func (p *Player) RunEvented(loop *netem.Loop, done func(*Metrics, error)) *EventedSession {
 	s := &evSession{p: p, loop: loop, done: done}
 	loop.Do(s.start)
@@ -89,12 +86,11 @@ func (s *evSession) start() {
 
 	s.livePaths = len(p.cfg.Paths)
 	s.liveMachines = len(p.cfg.Paths) + 1 // paths + gater
-	// Install the re-poll hooks before the first machine can signal.
-	// Every chunk-manager or lifecycle Broadcast now also enqueues a
-	// step, the loop-world image of waking the parked goroutines.
+	// Install the re-poll hooks before the first machine can signal:
+	// every chunk-manager or lifecycle change enqueues a step.
 	kick := func() { s.loop.Do(s.step) }
 	p.cm.notify = kick
-	p.evKick = kick
+	p.kick = kick
 	s.gater = &evGater{sess: s}
 	s.gater.tm = p.clock.NewTimer(func() { s.loop.Do(s.gater.wake) })
 	for i, pc := range p.cfg.Paths {
@@ -107,8 +103,7 @@ func (s *evSession) start() {
 }
 
 // step is the session-wide re-poll: it runs once per kick, checks the
-// stop condition, and lets every parked machine re-evaluate — exactly
-// the set of waiters a blocking Broadcast would have woken.
+// stop condition, and lets every parked machine re-evaluate.
 func (s *evSession) step() {
 	if s.finished {
 		return
@@ -123,8 +118,7 @@ func (s *evSession) step() {
 	}
 	s.gater.poll()
 	// Drain the wait queue in park order; paths that still find nothing
-	// re-append themselves at the tail, just as a woken blocking waiter
-	// whose predicate still fails re-Waits behind the others.
+	// re-append themselves at the tail, behind the others.
 	q := s.waitq
 	s.waitq = nil
 	for _, ep := range q {
@@ -135,11 +129,12 @@ func (s *evSession) step() {
 	}
 }
 
-// teardown is RunAs's stopping stage at the trigger instant: seal the
-// books (a no-op when finish already sealed them), stop assignment,
-// make cancellation visible, and abort every in-flight transfer. The
-// machines then unwind at the same deterministic instants the blocking
-// workers would have — in-flight fetches observe their aborts now,
+// teardown is the session's stopping stage at the trigger instant:
+// seal the books (a no-op when finish already sealed them), stop
+// assignment, make cancellation visible, and abort every in-flight
+// transfer. trigger becomes the session error unless the stop
+// condition was already reached. The machines then unwind at
+// deterministic instants — in-flight fetches observe their aborts now,
 // pending backoff and gater timers still fire at their scheduled wakes
 // and exit there.
 func (s *evSession) teardown(trigger error) {
@@ -157,25 +152,20 @@ func (s *evSession) teardown(trigger error) {
 	s.p.cm.stop()
 	s.p.smu.Lock()
 	s.p.cancelled = true
-	s.p.scond.Broadcast()
 	s.p.smu.Unlock()
 	for _, ep := range s.paths {
 		ep.et.Shutdown(errSessionStopped)
 	}
 }
 
-// onPathExit mirrors the blocking fetch loop's self-raised pathsExited:
-// the last path to exit decides, on the spot, whether the session ended
-// short (teardown with the all-paths-exited error) or simply drained.
+// onPathExit lets the last path to exit decide, on the spot, whether
+// the session ended short (teardown with the all-paths-exited error) or
+// simply drained.
 func (s *evSession) onPathExit() {
 	s.livePaths--
 	if s.livePaths > 0 {
 		return
 	}
-	s.p.smu.Lock()
-	s.p.pathsExited = true
-	s.p.scond.Broadcast()
-	s.p.smu.Unlock()
 	if !s.torndown {
 		var err error
 		if !s.p.cm.Done() {
@@ -208,8 +198,7 @@ func (s *evSession) finish() {
 
 // interrupt force-finishes after the clock stopped: no pending timer
 // will ever fire, so the remaining machines are abandoned where they
-// froze and the sealed books are collected immediately — the evented
-// image of RunAs's stopped-clock drain fallback.
+// froze and the sealed books are collected immediately.
 func (s *evSession) interrupt() {
 	if s.finished {
 		return
@@ -219,10 +208,13 @@ func (s *evSession) interrupt() {
 }
 
 // evPath is the fetch loop of one MSPlayer path as a callback machine:
-// the same bootstrap/acquire/fetch/failover control flow as path.run,
-// with continuation callbacks where the goroutine parked. The rng, the
-// draw order, every backoff constant and every metrics call site match
-// path.go exactly, so both engines retire the same virtual instants.
+// bootstrap against the network's web proxy, then repeatedly acquire a
+// span from the chunk manager, fetch it with an HTTP range request, and
+// report the measured throughput to the scheduler. Failures trigger
+// same-network replica failover (or, with the resilience layer,
+// health-scored reselection), token refresh, or backoff-and-retry.
+// Every wait is a continuation callback: a timer, a request completion
+// or a session re-poll.
 type evPath struct {
 	id   int
 	cfg  PathConfig
@@ -235,18 +227,23 @@ type evPath struct {
 	serverIdx int
 	url       string
 
+	// rng is the path's private splitmix64 backoff-jitter stream (see
+	// pathRNG); only this machine draws from it, so the draw order is
+	// deterministic per seed.
 	rng        uint64
 	failStreak int
 
-	// res / hedging mirror path.res and path.hedging exactly: the
-	// resilience layer's per-target health state (nil when disabled)
-	// and the pending hedge's range size.
+	// res is the resilience layer's per-target health state (nil when
+	// the layer is disabled). hedging is the range size of the most
+	// recent hedge whose reissue has not yet resolved (0 when none):
+	// the next success counts a hedge win, the next genuine failure
+	// counts its bytes wasted.
 	res     *sourceSet
 	hedging int64
 
 	// waiting marks the machine parked in acquire: want is pinned for
-	// the whole wait (the blocking acquire's want is fixed too) and
-	// session steps re-poll acquireTry until it resolves.
+	// the whole wait and session steps re-poll acquireTry until it
+	// resolves.
 	waiting bool
 	queued  bool // in the session's FIFO wait queue
 	want    int64
@@ -266,7 +263,7 @@ func newEvPath(id int, cfg PathConfig, s *evSession) *evPath {
 	et.SetRequestTimeout(cfg.RequestTimeout)
 	ep := &evPath{
 		id: id, cfg: cfg, pl: s.p, sess: s, et: et,
-		rng: uint64(s.p.cfg.Seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9,
+		rng: pathRNG(s.p.cfg.Seed, id),
 		res: newSourceSet(cfg.Resilience, s.p.cfg.Seed, id),
 	}
 	ep.backoffTm = s.p.clock.NewTimer(func() { s.loop.Do(ep.backoffFire) })
@@ -293,10 +290,14 @@ func (ep *evPath) exit() {
 	ep.sess.machineDone()
 }
 
-// backoff sleeps the same exponentially growing, jittered delay as
-// path.backoff and resumes then with nil, or with an error when the
-// session was cancelled (checked at the wake instant, exactly as the
-// blocking path checks ctx after its Sleep returns).
+// backoff sleeps an exponentially growing emulated delay — 250 ms
+// doubling to a 2 s cap, plus deterministic per-path jitter of up to
+// half the base — and resumes then with nil, or with an error when the
+// session was torn down or the clock stopped (checked at the wake
+// instant). The jitter matters under correlated faults: when a server
+// kill fails hundreds of sessions at one virtual instant, un-jittered
+// exponential backoff would march them all back in lockstep,
+// re-creating the stampede on every retry.
 func (ep *evPath) backoff(attempt int, then func(error)) {
 	d := 250 * time.Millisecond << uint(min(attempt, 3))
 	d += time.Duration(splitmixDraw(&ep.rng, int64(d)/2))
@@ -322,12 +323,10 @@ func (ep *evPath) backoffFire() {
 }
 
 // bootstrap fetches video metadata from the network's web proxy,
-// retrying with backoff, and resumes then. The blocking fetchInfo's
-// json.Decoder-plus-probing-Close pattern lands at exactly the instants
-// EventTransport.Get delivers — success completes at the terminal chunk
-// frame with the connection pooled, non-200 retires the connection at
-// the first body byte — so a plain Unmarshal of the collected body is
-// timing-exact.
+// retrying with backoff, and resumes then. EventTransport.Get delivers
+// a 200 body at the terminal chunk frame with the connection pooled and
+// retires the connection at the first body byte of any other status,
+// so the whole body is decoded at once.
 func (ep *evPath) bootstrap(attempt int, then func(error)) {
 	if ep.sess.torndown {
 		then(errSessionStopped)
@@ -335,7 +334,8 @@ func (ep *evPath) bootstrap(attempt int, then func(error)) {
 	}
 	url := fmt.Sprintf("http://%s/watch?v=%s", ep.cfg.ProxyAddr, ep.pl.cfg.VideoID)
 	if ep.res != nil {
-		// Watch requests are never hedged (mirrors fetchInfo).
+		// Watch requests are never hedged; disarm any budget left over
+		// from the preceding range request.
 		ep.et.SetHedge(0)
 	}
 	ep.et.Get(url, func(status int, body []byte, err error) {
@@ -380,8 +380,12 @@ func (ep *evPath) bootstrap(attempt int, then func(error)) {
 	})
 }
 
-// failover mirrors path.failover: rotate replicas within the streak,
-// then back off and re-bootstrap once the streak has walked the list.
+// failover rotates to the next replica in the network, wrapping past
+// the end of the list so replicas that failed earlier — and may have
+// recovered since — are re-probed instead of written off. Once a
+// failure streak has walked the whole list (attempt is the streak
+// count), it backs off and re-bootstraps to refresh the server list,
+// picking up restarted replicas and dropping killed ones.
 func (ep *evPath) failover(attempt int, then func(error)) {
 	if len(ep.servers) > 1 && attempt%len(ep.servers) != 0 {
 		ep.serverIdx = (ep.serverIdx + 1) % len(ep.servers)
@@ -400,9 +404,15 @@ func (ep *evPath) failover(attempt int, then func(error)) {
 	})
 }
 
-// reselect mirrors path.reselect: health-scored selection that fails
-// fast past breaker-open targets, with the periodic backoff +
-// re-bootstrap fallback.
+// reselect is the resilient replacement for failover: it picks the
+// best live source by health score, failing fast past breaker-open
+// targets instead of burning a request-deadline budget on each, and
+// admits half-open probes at their jittered re-open instants. Probes
+// are 1 KiB range requests issued outside the chunk manager, so a
+// still-dead target wedges only the probe — never a real chunk span
+// that would sit on the contiguous buffering frontier for a full
+// deadline. Every 2×len(servers) consecutive failures it falls back to
+// backoff + re-bootstrap to refresh the server list.
 func (ep *evPath) reselect(attempt int, then func(error)) {
 	if attempt > 0 && len(ep.servers) > 0 && attempt%(2*len(ep.servers)) == 0 {
 		ep.backoff(attempt, func(err error) {
@@ -425,11 +435,10 @@ func (ep *evPath) reselect(attempt int, then func(error)) {
 }
 
 // applyPick is reselect's selection step. When every breaker is open
-// it parks on the backoff timer until the earliest half-open instant —
-// the continuation image of path.reselect's SleepUntil (backoffFire
-// performs the same torndown / stopped-clock checks at the wake).
-// Half-open winners run the 1 KiB probe first and re-enter selection
-// when it fails, exactly like the blocking pick loop.
+// it parks on the backoff timer until the earliest half-open instant
+// (backoffFire performs the torndown / stopped-clock checks at the
+// wake). Half-open winners run the 1 KiB probe first and re-enter
+// selection when it fails.
 func (ep *evPath) applyPick(attempt int, then func(error)) {
 	clock := ep.pl.clock
 	idx, probe, wait, ok := ep.res.pick(ep.servers, clock.Now())
@@ -467,10 +476,14 @@ func (ep *evPath) finishPick(idx int, probe bool, attempt int, then func(error))
 	then(nil)
 }
 
-// probe mirrors path.probe exactly: the 1 KiB half-open probe against
-// servers[idx], feeding the breaker and robustness metrics but never
-// the service window. A failed probe re-enters applyPick; a redeemed
-// target is committed as the path's source.
+// probe issues the 1 KiB half-open probe against servers[idx]. Probe
+// outcomes drive the breaker and the robustness metrics but never feed
+// the service window — a 1 KiB probe's latency says nothing about chunk
+// service rates. The probe runs on the deadline-clamped probeBudget
+// rather than the rate prediction, so a healthy target whose prediction
+// has gone stale still gets the full deadline to redeem itself. A
+// failed probe re-enters applyPick; a redeemed target is committed as
+// the path's source.
 func (ep *evPath) probe(idx, attempt int, then func(error)) {
 	pl := ep.pl
 	pl.metrics.halfOpenProbe(ep.id)
@@ -508,7 +521,7 @@ func (ep *evPath) probe(idx, attempt int, then func(error)) {
 	})
 }
 
-// fetchStep is one iteration of the blocking fetch loop's head: check
+// fetchStep is one iteration of the fetch loop's head: check
 // cancellation, size the next chunk, and try to acquire it. When no
 // work is available the machine stays parked in waiting and the next
 // session step re-polls with the pinned want.
@@ -542,7 +555,7 @@ func (ep *evPath) fetchStep() {
 }
 
 // resume continues the fetch loop after a recovery step (re-bootstrap
-// or failover), exiting on cancellation exactly as path.run returns.
+// or failover), exiting on cancellation.
 func (ep *evPath) resume(err error) {
 	if err != nil {
 		ep.exit()
@@ -561,9 +574,12 @@ func (ep *evPath) fetch(span Span) {
 	ep.et.GetRangeViews(ep.url, span.Off, span.End()-1, func(views [][]byte, release func(), err error) {
 		if err != nil {
 			if ep.res != nil && errors.Is(err, httpx.ErrHedged) {
-				// Mirrors the blocking ladder's hedge branch exactly:
-				// not a failure, but a breaker strike and a redirect to
-				// the best-scored live source.
+				// The hedge budget elapsed: the laggard was cancelled at
+				// exactly that instant, and the range is reissued against
+				// the best-scored live source. Abandoning our own request
+				// is not a failure, but it is a breaker strike — repeated
+				// hedges against a blackholed source open its breaker
+				// long before a deadline-based streak would.
 				pl.cm.fail(span)
 				if ep.sess.torndown {
 					ep.exit()
@@ -627,11 +643,11 @@ func (ep *evPath) fetch(span Span) {
 	})
 }
 
-// evGater is Player.gater as a timer machine: time-based ON flips run
-// off a wake timer, delivery-driven periods park until a gate-off (or
-// lifecycle) kick re-polls. A teardown while a wake is pending lets the
-// timer fire and exit there without ticking, matching the blocking
-// gater waking from SleepUntil into an ended session.
+// evGater drives the playout buffer's time-based ON transitions as a
+// timer machine: it sleeps until the buffer drains to LowWater and
+// flips fetching back on. Delivery-driven periods park until a
+// gate-off (or lifecycle) kick re-polls. A teardown while a wake is
+// pending lets the timer fire and exit there without ticking.
 type evGater struct {
 	sess     *evSession
 	tm       *netem.Timer

@@ -11,11 +11,10 @@ import (
 // back to the fixed-rotation failover of earlier revisions and the
 // session's wire behavior is bit-for-bit unchanged.
 //
-// The layer is engine-agnostic by construction: breaker state is
-// evaluated only at selection time (never from timer callbacks), all
-// jitter comes from a dedicated splitmix64 stream separate from the
-// path's backoff stream, and both the blocking and event-loop engines
-// drive the same sourceSet methods at mirrored instants.
+// The layer is deterministic by construction: breaker state is
+// evaluated only at selection time (never from timer callbacks), and
+// all jitter comes from a dedicated splitmix64 stream separate from the
+// path's backoff stream.
 type Resilience struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// target's circuit breaker. Zero disables the whole layer.
@@ -145,8 +144,7 @@ type srcHealth struct {
 }
 
 // sourceSet tracks per-target health for one path. All methods run on
-// the path's single driving context (the fetch-loop goroutine or the
-// event loop), so no locking is needed and the state evolution — and
+// the session's event loop, so no locking is needed and the state evolution — and
 // every jittered cooldown — is deterministic per seed. State is keyed
 // by address, so it survives re-bootstraps that rebuild the server
 // list.
@@ -174,7 +172,7 @@ func newSourceSet(cfg Resilience, seed int64, id int) *sourceSet {
 	}
 	return &sourceSet{
 		cfg:  cfg.withDefaults(),
-		rng:  uint64(seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB,
+		rng:  pathRNG(seed, id) + 0x94D049BB133111EB,
 		tgts: make(map[string]*srcHealth),
 	}
 }

@@ -35,8 +35,8 @@ const (
 )
 
 // Scheduler decides per-path chunk sizes. Implementations must be safe
-// for concurrent use: each path calls Observe/Size from its own fetch
-// goroutine.
+// for concurrent use: a session's paths call Observe/Size from event-
+// loop steps, which may run on different goroutines.
 type Scheduler interface {
 	// Name identifies the scheduler in experiment output.
 	Name() string

@@ -50,11 +50,13 @@ func TestParseDirective(t *testing.T) {
 // number of //detlint:allow directives cmd/detlint -suppressions lists.
 // Adding or removing one must update this constant, so every new escape
 // hatch shows up in review as a deliberate diff, not a silent drift.
-// 67th: netem Listener.abortFrom ranges the conn set to abort every
-// connection crossing a severed partition edge — the aborts commute
-// (each lands at the same pinned virtual instant), so map order cannot
-// leak into observable state.
-const wantSuppressions = 67
+// 67 → 61: the six wallclock directives of core's blocking
+// chunk-manager tests (real-time watchdogs around a parked acquire)
+// went away with the parking acquire itself; the tests now poll the
+// non-parking acquireTry. Player.Run's context-cancel relay replaced
+// the deleted goroutine engine's relay one for one (one baredgo
+// directive before and after).
+const wantSuppressions = 61
 
 // TestTreeCleanAndSuppressionCount runs the full suite over the whole
 // module, exactly as the CI detlint step does: zero unsuppressed

@@ -7,13 +7,12 @@ import (
 )
 
 // runChaos runs one chaosfleet configuration and returns the report.
-func runChaos(t *testing.T, sessions int, seed int64, engine string) *Report {
+func runChaos(t *testing.T, sessions int, seed int64) *Report {
 	t.Helper()
 	sc, err := Builtin("chaosfleet", sessions, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Engine = engine
 	rep, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +23,7 @@ func runChaos(t *testing.T, sessions int, seed int64, engine string) *Report {
 // TestChaosSweepDeterminism is the chaos fence: across a sweep of chaos
 // seeds — each a distinct splitmix64-expanded storm of replica kills,
 // blackholes, partitions, loss storms and flapping — every chaosfleet
-// run must (1) double-run byte-identically, (2) render byte-identically
-// on the goroutine and event-loop engines, and (3) pass the structural
+// run must (1) double-run byte-identically and (2) pass the structural
 // invariant checker: all sessions terminal, origin books settled and
 // balanced, every windowed fault recovered. The full 25-seed sweep runs
 // in long mode; CI's -short pass (which carries -race) keeps a 4-seed
@@ -42,21 +40,14 @@ func TestChaosSweepDeterminism(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			var cross [2]string
-			for ei, engine := range []string{EngineGoroutine, EngineEventLoop} {
-				a := runChaos(t, sessions, seed, engine)
-				b := runChaos(t, sessions, seed, engine)
-				if as, bs := a.String(), b.String(); as != bs {
-					diffReports(t, fmt.Sprintf("seed %d %s double-run", seed, engine), as, bs)
-					return
-				}
-				if err := CheckInvariants(a); err != nil {
-					t.Errorf("seed %d %s: invariants violated: %v", seed, engine, err)
-				}
-				cross[ei] = a.String()
+			a := runChaos(t, sessions, seed)
+			b := runChaos(t, sessions, seed)
+			if as, bs := a.String(), b.String(); as != bs {
+				diffReports(t, fmt.Sprintf("seed %d double-run", seed), as, bs)
+				return
 			}
-			if cross[0] != cross[1] {
-				diffReports(t, fmt.Sprintf("seed %d cross-engine", seed), cross[0], cross[1])
+			if err := CheckInvariants(a); err != nil {
+				t.Errorf("seed %d: invariants violated: %v", seed, err)
 			}
 		})
 	}

@@ -214,11 +214,17 @@ type SessionResult struct {
 
 // Run executes a scenario: one shared testbed (origin cluster + virtual
 // clock), one client and session per cohort member, all concurrent, and
-// returns the aggregated report. Deterministic per scenario seed: the
-// clock only advances when every session's goroutines are parked, and
-// every random draw derives from Scenario.Seed, so two runs produce
-// byte-identical reports.
+// returns the aggregated report. Every session runs as event-loop state
+// machines on one shared netem.Loop, so a whole run needs O(cores)
+// goroutines regardless of the session count. Deterministic per
+// scenario seed: the clock only advances when every registered
+// participant is parked, and every random draw derives from
+// Scenario.Seed, so two runs produce byte-identical reports. ctx is
+// checked once, before the testbed is deployed.
 func Run(ctx context.Context, sc Scenario) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// A chaos plan expands into concrete faults first, so validation,
 	// arming, horizon-riding and the report's fault table all see the
 	// same deterministic plan.
@@ -232,14 +238,6 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		profile.Seed = sc.Seed
 	} else {
 		profile = msplayer.TestbedProfile(sc.Seed)
-	}
-	evented := sc.Engine == EngineEventLoop
-	if evented {
-		// The evented engine flips the whole world: sessions become
-		// state machines and the origin's eligible servers serve evented
-		// too. Both engines are wire-identical, so the report bytes do
-		// not change with this knob.
-		profile.EventLoop = true
 	}
 	tb, err := msplayer.NewTestbed(profile)
 	if err != nil {
@@ -281,8 +279,8 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 
 	// Loss-storm faults compile into the access links of every client
 	// attached during the run: one window list per network name, applied
-	// at session attach in both engines (the windows are anchored at the
-	// scenario epoch, so every client sees the same storm instants).
+	// at session attach (the windows are anchored at the scenario epoch,
+	// so every client sees the same storm instants).
 	var lossWins map[string][]netem.LossWindow
 	for _, f := range sc.Faults {
 		if f.Kind != FaultLossStorm {
@@ -296,9 +294,8 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	}
 
 	// The driver registers so virtual time stays pinned at the scenario
-	// epoch until every session goroutine is spawned and parked on its
-	// arrival deadline; otherwise early arrivals could burn virtual time
-	// before late cohorts exist.
+	// epoch until every session's arrival timer is armed; otherwise early
+	// arrivals could burn virtual time before late cohorts exist.
 	driver := clock.Register()
 
 	// The fault plan arms before any session exists: timers created here
@@ -311,12 +308,8 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	}
 
 	results := make([][]SessionResult, len(sc.Cohorts))
-	var ev *eventedRun
-	if evented {
-		ev = &eventedRun{loop: netem.NewLoop()}
-		ev.cond = netem.NewCond(clock, &ev.mu)
-	}
-	var wg sync.WaitGroup
+	ev := &eventedRun{loop: netem.NewLoop()}
+	ev.cond = netem.NewCond(clock, &ev.mu)
 	for ci := range sc.Cohorts {
 		co := &sc.Cohorts[ci]
 		var servers map[string][]string
@@ -341,29 +334,12 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 			slot.Cohort = co.Name
 			slot.Index = i
 			slot.Arrival = arrivals[i]
-			if evented {
-				// Arrival timers arm in cohort/session order after the
-				// fault timers, so same-instant ties resolve exactly as
-				// the goroutine engine's spawn order does.
-				ev.arm(tb, &profile, co, servers, lossWins, i, arrivals[i], sessSeed, start, slot)
-				continue
-			}
-			wg.Add(1)
-			clock.Go(func(sp *netem.Participant) {
-				defer wg.Done()
-				slot.Metrics, slot.Err = runSession(ctx, sp, tb, &profile, co, servers, lossWins, i, arrivals[i], sessSeed, start)
-			})
+			// Arrival timers arm in cohort/session order after the fault
+			// timers, so same-instant arrivals start in that order.
+			ev.arm(tb, &profile, co, servers, lossWins, i, arrivals[i], sessSeed, start, slot)
 		}
 	}
-	if evented {
-		ev.wait(driver)
-	} else {
-		// Park outside the clock's accounting while the sessions drain;
-		// they must be free to advance virtual time.
-		driver.Suspend()
-		wg.Wait()
-		driver.Resume()
-	}
+	ev.wait(driver)
 
 	// Ride out the fault horizon: recovery timers scheduled past the last
 	// session's completion (a restart nobody was waiting for) must fire
@@ -406,89 +382,6 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// runSession executes one cohort member: wait for its arrival instant,
-// attach a client with per-session links (degrade events compiled in),
-// arm down events, and stream. sp is the session goroutine's clock
-// handle; every park — the arrival wait and the whole session via
-// StreamAs — goes through it.
-func runSession(ctx context.Context, sp *netem.Participant, tb *msplayer.Testbed, profile *msplayer.Profile,
-	co *Cohort, servers map[string][]string, lossWins map[string][]netem.LossWindow,
-	idx int, arrival time.Duration, sessSeed int64, start time.Time) (*msplayer.Metrics, error) {
-	clock := tb.Clock()
-	sp.SleepUntil(start.Add(arrival))
-
-	// The session RNG decides event participation; its draws happen in a
-	// fixed order, so participation is a pure function of the seed.
-	rng := rand.New(rand.NewSource(sessSeed))
-	wifiProf := profile.WiFi
-	if co.WiFi != nil {
-		wifiProf = *co.WiFi
-	}
-	lteProf := profile.LTE
-	if co.LTE != nil {
-		lteProf = *co.LTE
-	}
-	overlayLossWindows(&wifiProf, lossWins)
-	overlayLossWindows(&lteProf, lossWins)
-
-	var downs []Event
-	for _, ev := range co.Events {
-		affected := ev.Fraction == 0 || ev.Fraction >= 1 || rng.Float64() < ev.Fraction
-		if !affected {
-			continue
-		}
-		onset := start.Add(ev.At + time.Duration(idx)*ev.Stagger)
-		switch ev.Kind {
-		case EventWiFiDegrade:
-			wifiProf.Shape = composeShape(wifiProf.Shape, scaleWindow(onset, ev.Duration, ev.Factor))
-		case EventLTEDegrade:
-			lteProf.Shape = composeShape(lteProf.Shape, scaleWindow(onset, ev.Duration, ev.Factor))
-		case EventWiFiDown, EventLTEDown:
-			ev := ev
-			downs = append(downs, ev)
-		}
-	}
-
-	client := tb.NewClient(wifiProf, lteProf, sessSeed)
-
-	for _, ev := range downs {
-		iface := client.WiFi()
-		if ev.Kind == EventLTEDown {
-			iface = client.LTE()
-		}
-		onset := start.Add(ev.At + time.Duration(idx)*ev.Stagger)
-		end := onset.Add(ev.Duration)
-		release := tb.Inject(func(ip *netem.Participant) {
-			if !clock.Now().Before(end) {
-				return // window already over when the session arrived
-			}
-			ip.SleepUntil(onset)
-			iface.SetAlive(false)
-			ip.SleepUntil(end)
-			iface.SetAlive(true)
-		})
-		defer release()
-	}
-
-	sched, err := co.Scheduler.build()
-	if err != nil {
-		return nil, err
-	}
-	return client.StreamAs(ctx, sp, msplayer.SessionConfig{
-		Scheduler:          sched,
-		Paths:              co.Paths,
-		Buffer:             co.Buffer,
-		Video:              co.Video,
-		Itag:               co.Itag,
-		VideoServers:       servers,
-		StopAfterPreBuffer: co.StopAfterPreBuffer,
-		StopAfterRefills:   co.StopAfterRefills,
-		RequestTimeout:     co.RequestTimeout,
-		Resilience:         co.Resilience,
-		Seed:               sessSeed,
-	})
-}
-
 // overlayLossWindows appends the scenario's loss-storm windows for lp's
 // network onto the profile. The append clips capacity first, so the
 // shared profile's own window slice is never mutated in place.
@@ -515,15 +408,15 @@ type eventedRun struct {
 	slots     []*SessionResult
 }
 
-// errClockStopped fills the slots of evented sessions the emulation
-// clock stopped out from under (mirroring the goroutine engine, whose
-// sessions return core's clock-stopped error from their own teardown).
+// errClockStopped fills the slots of sessions whose arrival the
+// emulation clock stopped out from under (sessions already running
+// return core's clock-stopped error from their own teardown).
 var errClockStopped = fmt.Errorf("fleet: emulation clock stopped mid-scenario")
 
 // arm schedules one session's arrival: at the arrival instant the
-// timer callback — a loop step — performs exactly what runSession does
-// after its arrival sleep (participation draws, client attachment, down
-// events, scheduler build) and starts the session machines.
+// timer callback — a loop step — attaches a client with per-session
+// links (degrade events compiled in), arms down events, builds the
+// scheduler and starts the session machines.
 func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *Cohort,
 	servers map[string][]string, lossWins map[string][]netem.LossWindow,
 	idx int, arrival time.Duration, sessSeed int64, start time.Time, slot *SessionResult) {
@@ -540,7 +433,7 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 	spawn := func() {
 		// The session RNG decides event participation; its draws happen
 		// in a fixed order, so participation is a pure function of the
-		// seed — the same order and draws as runSession's.
+		// seed.
 		rng := rand.New(rand.NewSource(sessSeed))
 		wifiProf := profile.WiFi
 		if co.WiFi != nil {
@@ -615,8 +508,7 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 // wait parks the driver until every armed session has completed. On a
 // stopped clock it interrupts the surviving sessions (collecting their
 // partial, sealed metrics) and marks never-arrived slots with
-// errClockStopped, mirroring the goroutine engine's stopped-clock
-// unwind.
+// errClockStopped.
 func (ev *eventedRun) wait(driver *netem.Participant) {
 	stopped := false
 	ev.mu.Lock()

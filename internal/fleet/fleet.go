@@ -30,18 +30,11 @@ import (
 	"repro/internal/edge"
 )
 
-// Session engine kinds for Scenario.Engine.
-const (
-	// EngineGoroutine runs every session as parked goroutines (the
-	// original engine; also the default for an empty Engine).
-	EngineGoroutine = "goroutine"
-	// EngineEventLoop runs every session as event-loop state machines
-	// over borrow-based zero-copy reads, and serves the origin's
-	// eligible servers evented too: a whole run needs O(cores)
-	// goroutines instead of O(sessions). Wire-identical to the
-	// goroutine engine — reports are byte-identical per seed.
-	EngineEventLoop = "eventloop"
-)
+// EngineEventLoop is the only accepted non-empty Scenario.Engine value.
+//
+// Deprecated: every session runs on the event loop; setting
+// Scenario.Engine to it has no effect.
+const EngineEventLoop = "eventloop"
 
 // SchedulerSpec names a chunk scheduler declaratively, so scenarios can
 // be described (and compared in A/B cohorts) without holding live
@@ -431,10 +424,12 @@ type Scenario struct {
 	// (splitmix64 over ChaosPlan.Seed), so two runs of the same
 	// scenario still produce byte-identical reports.
 	Chaos *ChaosPlan
-	// Engine selects the session engine: EngineGoroutine (also the
-	// empty default) or EngineEventLoop. The engines are wire-identical
-	// — same report bytes per seed — and differ only in resource
-	// footprint (see the Engine* constants).
+	// Engine names the session engine. Only "" and EngineEventLoop are
+	// valid, and both select the event loop, the only engine: a
+	// scenario asking for the removed goroutine engine fails validation
+	// instead of silently running on the event loop.
+	//
+	// Deprecated: leave it empty.
 	Engine string
 }
 
@@ -456,7 +451,7 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("fleet: scenario %q has no cohorts", sc.Name)
 	}
 	switch sc.Engine {
-	case "", EngineGoroutine, EngineEventLoop:
+	case "", EngineEventLoop:
 	default:
 		return fmt.Errorf("fleet: scenario %q has unknown engine %q", sc.Name, sc.Engine)
 	}

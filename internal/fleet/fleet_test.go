@@ -59,6 +59,31 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Builtin("nosuch", 0, 1); err == nil {
 		t.Error("unknown builtin accepted")
 	}
+	// The goroutine session engine is gone; asking for it must fail
+	// loudly rather than silently run on the event loop.
+	for _, engine := range []string{"goroutine", "bogus"} {
+		sc, err := Builtin("flashcrowd", 6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Engine = engine
+		if err := sc.validate(); err == nil {
+			t.Errorf("engine %q validated", engine)
+		}
+		if _, err := Run(context.Background(), sc); err == nil {
+			t.Errorf("engine %q ran", engine)
+		}
+	}
+	for _, engine := range []string{"", EngineEventLoop} {
+		sc, err := Builtin("flashcrowd", 6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Engine = engine
+		if err := sc.validate(); err != nil {
+			t.Errorf("engine %q rejected: %v", engine, err)
+		}
+	}
 	for _, n := range BuiltinNames() {
 		sc, err := Builtin(n, 0, 1)
 		if err != nil {

@@ -71,9 +71,12 @@ func (t *EventTransport) Loop() *netem.Loop { return t.loop }
 // that virtual instant. Zero disables the deadline.
 func (t *EventTransport) SetRequestTimeout(d time.Duration) { t.reqTimeout = d }
 
-// SetHedge mirrors Transport.SetHedge: every subsequent attempt still
-// in flight d after starting is aborted with ErrHedged at exactly that
-// virtual instant. Zero disables the hedge budget.
+// SetHedge arms a hedge budget alongside the request deadline: every
+// subsequent attempt still in flight d after starting is aborted with
+// ErrHedged at exactly that virtual instant, so the caller can reissue
+// the range against another source with most of the deadline budget
+// intact. The hedge must be shorter than the request deadline to be
+// useful; zero disables it.
 func (t *EventTransport) SetHedge(d time.Duration) { t.hedge = d }
 
 // Shutdown mirrors Transport.Shutdown at the caller's instant: new
@@ -116,7 +119,7 @@ func (t *EventTransport) Shutdown(err error) {
 // delivers its full body at the instant the last framing byte is
 // consumed; any other status delivers (status, nil, nil) with the
 // connection retired exactly as the blocking client's unread-body
-// close would have (fetchInfo never reads non-200 bodies). Transport
+// close would have (watch callers never read non-200 bodies). Transport
 // errors arrive unwrapped, as RoundTrip returns them.
 func (t *EventTransport) Get(url string, cb func(status int, body []byte, err error)) {
 	rq := &evReq{done: func(res *evResult, err error) {
@@ -384,8 +387,9 @@ func (t *EventTransport) startRequest(rq *evReq) {
 // armDeadline starts the per-attempt deadline and hedge budget, the
 // evented deadlineGuard: each attempt — including the retry — gets the
 // full budgets, and firing aborts whatever conn the attempt holds. The
-// deadline timer is created before the hedge timer, matching the
-// blocking guard's creation order.
+// deadline timer is created before the hedge timer, so if both were
+// ever scheduled for one instant the deadline would win the wake order
+// — though SetHedge callers keep the hedge strictly shorter.
 func (rq *evReq) armDeadline() {
 	t := rq.t
 	if t.reqTimeout <= 0 && t.hedge <= 0 {
@@ -923,8 +927,9 @@ func (rq *evReq) beginBody() {
 		// the conn at the arrival of byte 513.
 		rq.bodyLimit = 512
 	case !rq.hasRange && rq.status != 200:
-		// fetchInfo closes a non-200 body unread: the pooling probe's
-		// single-byte read retires the conn at the first body byte.
+		// A non-200 watch body is closed unread, as a blocking client
+		// would: the pooling probe's single-byte read retires the conn
+		// at the first body byte.
 		rq.discard = true
 	case rq.hasRange && rq.status == 206 && !rq.chunked &&
 		rq.contentLength == rq.rangeTo-rq.rangeFrom+1:
@@ -1122,8 +1127,7 @@ func (rq *evReq) fail(err error, retryStage bool) {
 		rq.pc = nil
 	}
 	// A hedged-out attempt is never retried here: the caller cancelled
-	// it on purpose and will reissue elsewhere (Transport.RoundTrip
-	// suppresses its retry-once identically).
+	// it on purpose and will reissue elsewhere.
 	if retryStage && rq.reused && rq.attempt == 0 && rq.t.closed == nil &&
 		!errors.Is(err, ErrHedged) {
 		rq.t.dropIdle(rq.addr)

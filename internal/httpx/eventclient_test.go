@@ -160,7 +160,7 @@ func (d *blockingClientDriver) get(url string, then func()) {
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
-		// Mirror core's fetchInfo: a non-200 body is closed unread.
+		// A watch caller closes a non-200 body unread.
 		resp.Body.Close()
 		d.record("get %s status=%d", url, resp.StatusCode)
 		return
@@ -305,6 +305,10 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 
 	errSession := errors.New("session over")
 	done := make(chan struct{})
+	// The hold pins virtual time until the workload goroutine exists:
+	// otherwise the shutdown timer below can fire as soon as the
+	// servers' goroutines park, before the workload has started.
+	clock.Hold()
 	if evented {
 		loop := netem.NewLoop()
 		et := NewEventTransport(iface, clock, loop)
@@ -348,6 +352,7 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 			clientWorkload(d, epoch, srv2, srv.SetBlackhole, func() { close(done) })
 		})
 	}
+	clock.Release()
 	<-done
 
 	mu.Lock()

@@ -120,6 +120,10 @@ func engineTrace(t *testing.T, evented bool) []string {
 	// The aborter kills the interface mid-/big-transfer at a fixed
 	// instant; the client quantizes the /big request start so the abort
 	// lands at the same virtual offset into the transfer on every run.
+	// The hold pins virtual time until both goroutines exist: otherwise
+	// the aborter can park alone and let the clock jump to its wake
+	// before the client is registered.
+	clock.Hold()
 	clock.Go(func(p *netem.Participant) {
 		p.SleepUntil(epoch.Add(10*time.Second + 500*time.Millisecond))
 		iface.SetAlive(false)
@@ -172,6 +176,7 @@ func engineTrace(t *testing.T, evented bool) []string {
 		}
 		record("drained")
 	})
+	clock.Release()
 	<-done
 
 	mu.Lock()

@@ -73,7 +73,7 @@ type Clock struct {
 	jumpMu sync.Mutex
 	shards [numShards]clockShard
 	batch  sleeperBatch // jump-scratch; reused across jumps
-	fire   []wakeItem   // jump-scratch: batch snapshot fanned out lock-free
+	fire   []wakeItem   // idle fan-out scratch; lent to one advancer at a time (see tryAdvance)
 
 	done chan struct{} // closed by Stop; wakes every parked waiter
 
@@ -399,13 +399,28 @@ func (c *Clock) tryAdvance() {
 	// the accounting), and a popped timer closes it (the pending
 	// callback holds the clock) until the callback has run; the outer
 	// loop re-checks both.
+	//
+	// The fan-out list is read outside jumpMu, so it must not be shared
+	// scratch: when a batch only popped transients, the condition stays
+	// open and another goroutine may collect the next batch while this
+	// one is still fanning out. Each advancer therefore borrows the
+	// clock's scratch for its whole loop (or allocates its own if a
+	// concurrent advancer holds it) and returns it on exit, so the
+	// single-advancer steady state stays allocation-free.
+	var fire []wakeItem
+	borrowed := false
 	for {
 		c.jumpMu.Lock()
-		fire := c.collectDue()
-		c.jumpMu.Unlock()
+		if !borrowed {
+			fire, c.fire, borrowed = c.fire, nil, true
+		}
+		fire = c.collectDue(fire[:0])
 		if len(fire) == 0 {
+			c.fire = fire
+			c.jumpMu.Unlock()
 			return
 		}
+		c.jumpMu.Unlock()
 		for _, w := range fire {
 			if w.fn != nil {
 				// Timer callback: runs on this goroutine at the popped
@@ -436,10 +451,9 @@ type wakeItem struct {
 
 // collectDue advances virtual time while every participant is parked,
 // collecting every due sleeper across shards into one (deadline, seq)
-// sorted batch and snapshotting its wake actions. The caller holds
-// jumpMu; the returned slice is the clock's reusable scratch, valid
-// until the next collectDue call.
-func (c *Clock) collectDue() []wakeItem {
+// sorted batch and appending its wake actions to fire, the caller's
+// own fan-out scratch. The caller holds jumpMu.
+func (c *Clock) collectDue(fire []wakeItem) []wakeItem {
 	batch := c.batch[:0]
 	for !c.stopped.Load() && c.idle.Load() == c.parts.Load() {
 		// Lock-free earliest-deadline summary: one atomic load per
@@ -493,11 +507,9 @@ func (c *Clock) collectDue() []wakeItem {
 		// sort interface conversion does not allocate.
 		sort.Sort(&c.batch)
 	}
-	fire := c.fire[:0]
 	for _, s := range batch {
 		fire = append(fire, wakeItem{ch: s.ch, fn: s.fn})
 	}
-	c.fire = fire
 	return fire
 }
 

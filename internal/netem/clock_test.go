@@ -31,11 +31,13 @@ func TestVirtualClockOrdersConcurrentSleepers(t *testing.T) {
 	var wg sync.WaitGroup
 	base := c.Now()
 	delays := []time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
+	// The hold pins virtual time until all three sleepers are
+	// registered: Clock.Go only covers its own spawn, so without it the
+	// first sleeper could park alone and fire before the others exist.
+	c.Hold()
 	for i, d := range delays {
 		i, d := i, d
 		wg.Add(1)
-		// Clock.Go registers each sleeper before any of them can park,
-		// so no deadline fires until all three are asleep.
 		c.Go(func(p *Participant) {
 			defer wg.Done()
 			p.SleepUntil(base.Add(d))
@@ -44,6 +46,7 @@ func TestVirtualClockOrdersConcurrentSleepers(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	c.Release()
 	wg.Wait()
 	want := []int{1, 2, 0} // by ascending deadline
 	for i := range want {
@@ -147,6 +150,9 @@ func TestVirtualClockWaitsForActiveParticipants(t *testing.T) {
 	var wake time.Time
 	var wg sync.WaitGroup
 	wg.Add(2)
+	// The hold covers the window between the two spawns: the sleeper
+	// must not park alone and fire before the blocker is registered.
+	c.Hold()
 	c.Go(func(p *Participant) {
 		defer wg.Done()
 		p.Sleep(50 * time.Millisecond)
@@ -157,6 +163,7 @@ func TestVirtualClockWaitsForActiveParticipants(t *testing.T) {
 		close(parked)
 		<-release // deliberately invisible: holds the clock still
 	})
+	c.Release()
 	<-parked
 	//detlint:allow wallclock -- real sleep in real-time mode: no virtual jump may happen
 	time.Sleep(20 * time.Millisecond) // real time: no jump may happen
@@ -181,6 +188,10 @@ func TestVirtualClockDeterministicTimestamps(t *testing.T) {
 		var mu sync.Mutex
 		var wakes []time.Duration
 		var wg sync.WaitGroup
+		// The hold keeps the clock from jumping until all four sleepers
+		// exist: otherwise an early one could park alone and advance
+		// time before the later ones start.
+		c.Hold()
 		for g := 0; g < 4; g++ {
 			g := g
 			wg.Add(1)
@@ -195,6 +206,7 @@ func TestVirtualClockDeterministicTimestamps(t *testing.T) {
 				}
 			})
 		}
+		c.Release()
 		wg.Wait()
 		return wakes
 	}

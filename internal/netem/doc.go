@@ -12,8 +12,8 @@
 //
 //   - Virtual (the default): a deterministic discrete-event clock driven
 //     by waiter accounting. Every emulation participant — pipe readers
-//     and writers, HTTP fetch loops, origin request handlers, playout
-//     drain timers — registers with the clock (Clock.Register or
+//     and writers, session drivers, origin request handlers, fault
+//     injectors — registers with the clock (Clock.Register or
 //     Clock.Go), receiving a *Participant handle, and parks only
 //     through clock-visible primitives: Participant.Sleep/SleepUntil
 //     for deadline waits and Cond.Wait for emulated-I/O waits. The
@@ -53,9 +53,11 @@
 //  4. A Participant belongs to one goroutine at a time, and a
 //     registered goroutine holds exactly one: code called on behalf of
 //     an already-registered caller takes the caller's handle (see
-//     core.Player.RunAs, Interface.Dial, Listener.AcceptP, Conn.Bind)
-//     instead of registering again — a second registration for the
-//     same goroutine would deadlock the accounting.
+//     Interface.Dial, Listener.AcceptP, Conn.Bind) instead of
+//     registering again — a second registration for the same goroutine
+//     would deadlock the accounting. core.Player.Run registers its
+//     caller, so registered code starts sessions with
+//     core.Player.RunEvented instead.
 //
 // Unregistered goroutines may still use the clock-level blocking
 // shims (Clock.Sleep, Clock.SleepUntil, Cond.Wait with nil, Accept,
@@ -92,9 +94,10 @@
 // and registered (a fleet session's teardown, a fault injector) pins
 // virtual time while it sweeps its connections, so every abort in the
 // sweep lands at one deterministic instant T; everything parked at T —
-// fetch loops in clock-visible reads, server loops in request reads or
-// paced writes — wakes through the abort's Cond broadcast and observes
-// err by the rules above, at instants the clock alone decides. The only
+// session machines awaiting readability, server loops in request reads
+// or paced writes — wakes through the abort's Cond broadcast or
+// readiness callback and observes err by the rules above, at instants
+// the clock alone decides. The only
 // scheduling races left are between goroutines runnable at the very
 // same virtual instant, which the protocol makes commute. Clock.Stop is
 // the out-of-band big hammer for ending an emulation from outside
@@ -182,14 +185,13 @@
 //     clock could jump past it.
 //  5. Resilience state (core's circuit breakers, health scores, hedge
 //     service windows) is never read or written from a timer callback.
-//     The hedge timer's callback only aborts the in-flight conn at the
-//     budget instant — mechanism, not policy; the resulting error is
-//     observed by the path's driving context (its fetch goroutine or
-//     its event-loop step), which alone advances breaker/hedge state
-//     at selection and completion instants. Callbacks mutating that
-//     state would make the outcome depend on where a jump happened to
-//     run a timer, and the two engines — whose callbacks fire on
-//     different goroutines — could then diverge byte-wise.
+//     The hedge timer's callback only enqueues the abort of the
+//     in-flight conn at the budget instant — mechanism, not policy; the
+//     resulting error is observed by the path's event-loop step, which
+//     alone advances breaker/hedge state at selection and completion
+//     instants. Callbacks mutating that state would make the outcome
+//     depend on where a jump happened to run a timer, so reports could
+//     diverge byte-wise between runs.
 //
 // # Timer-driven state machines
 //
@@ -202,8 +204,9 @@
 // servers) instead of O(sessions × paths). Both APIs share every byte
 // of pacing, arrival, flow-control and abort machinery, so a
 // callback-driven connection produces exactly the virtual-time
-// timeline a goroutine-driven one does. The rules extend the fault-
-// callback rules above:
+// timeline a goroutine-driven one does (the httpx timeline tests pin
+// this against the blocking client and server, which edges still
+// use). The rules extend the fault-callback rules above:
 //
 //  1. Readiness callbacks fire on the clock's jump goroutine (or
 //     synchronously on a mutating caller) under a clock hold and must
@@ -235,12 +238,13 @@
 //     deadline (request timeout, scheduler backoff) arms a Timer whose
 //     callback enqueues the next step. Between callbacks a machine
 //     occupies no goroutine and the clock sees only its timers, so the
-//     jump loop's waiter accounting — and with it every report byte —
-//     is identical to the blocking engine's.
+//     jump loop's waiter accounting stays exact.
 //
-// core.RunEvented is the reference consumer: the full MSPlayer session
-// (bootstrap, multi-path fetch loops, failover backoff, playout gate)
-// as one such machine.
+// core.Player.RunEvented is the reference consumer, and the only
+// session engine: the full MSPlayer session (bootstrap, multi-path
+// fetch loops, failover backoff, playout gate) as one such machine.
+// core.Player.Run drives it for a single caller by parking one
+// registered goroutine in a Cond until the machines finish.
 //
 // Internally the participant/idle counters are atomics and the jump
 // mutex guards only the jump loop itself; wake tokens are delivered
@@ -269,8 +273,9 @@
 //     seeding. Draw sequences are unchanged for links that do draw.
 //
 // Consumers keep their own pools layered on the same idea: httpx pools
-// connection bufio.Readers and response-body scratch, and core recycles
-// chunk bodies between range requests and in-order delivery. In every
+// connection bufio.Readers and response-body scratch, and core hands
+// borrowed range-body views back to their connections after in-order
+// delivery. In every
 // case the invariant is the same: a buffer returns to its pool only
 // after the last reader of its bytes has finished, and pooled buffers
 // above a size cap are dropped so one-off spikes cannot pin memory.

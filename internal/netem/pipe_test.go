@@ -19,16 +19,29 @@ func transferTime(t *testing.T, size int, p LinkParams) time.Duration {
 	defer clock.Stop()
 	client, server := Pipe(clock, p, p, "c", "s")
 	start := clock.Now()
-	go func() {
+	// Both endpoints run on registered goroutines, spawned under a hold,
+	// so virtual time cannot move while either of them is runnable.
+	var n int64
+	var rerr error
+	done := make(chan struct{})
+	clock.Hold()
+	clock.Go(func(wp *Participant) {
+		server.Bind(wp)
 		buf := make([]byte, size)
 		if _, err := server.Write(buf); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		server.Close()
-	}()
-	n, err := io.Copy(io.Discard, client)
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	})
+	clock.Go(func(rp *Participant) {
+		defer close(done)
+		client.Bind(rp)
+		n, rerr = io.Copy(io.Discard, client)
+	})
+	clock.Release()
+	<-done
+	if rerr != nil {
+		t.Fatalf("read: %v", rerr)
 	}
 	if int(n) != size {
 		t.Fatalf("read %d bytes, want %d", n, size)

@@ -336,13 +336,21 @@ func TestWheelParkAllocs(t *testing.T) {
 
 	result := make(chan float64, 1)
 	clock.Go(func(p *Participant) {
-		p.Sleep(time.Millisecond) // warm the participant's shard buckets
-		result <- testing.AllocsPerRun(200, func() {
-			// Mixed distances: same-bucket, cross-bucket, and a re-homed
-			// overflow entry all stay on the reused backing arrays.
+		// Mixed distances: same-bucket, cross-bucket, and a re-homed
+		// overflow entry all stay on the reused backing arrays.
+		pair := func() {
 			p.Sleep(100 * time.Microsecond)
 			p.Sleep(3 * time.Millisecond)
-		})
+		}
+		// Warm the shard for more than one wheel revolution (~268 ms of
+		// virtual time): each bucket's backing array is allocated on its
+		// first use, about one per pair on the first pass, so a cold
+		// measurement sat just under AllocsPerRun's truncation to zero
+		// and one stray allocation elsewhere in the process tipped it.
+		for i := 0; i < 200; i++ {
+			pair()
+		}
+		result <- testing.AllocsPerRun(200, pair)
 	})
 	select {
 	case avg := <-result:

@@ -52,14 +52,6 @@ type ClusterConfig struct {
 	// Loads/Drain/Close merge the shard books back into deployment
 	// order, so reports are byte-identical for any shard count.
 	Shards int
-	// EventLoop serves connections as event-loop state machines instead
-	// of parked per-connection goroutines (httpx.WithEventLoop) on every
-	// server whose handlers never park: web proxies when WatchDelay is
-	// zero and video servers when Throttle is nil. Parking handlers keep
-	// the blocking engine — the event engine runs handlers inline in
-	// clock callbacks, which must not park. The engines are
-	// wire-identical, so reports do not change with this knob.
-	EventLoop bool
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -213,13 +205,13 @@ func Deploy(n *netem.Network, cfg ClusterConfig) (*Cluster, error) {
 		network := network // capture
 		proxy := NewWebProxy(network, cfg.Catalog, func() []string { return c.liveReplicas(network) },
 			cfg.Secret, cfg.TokenTTL, n.Clock(), cfg.WatchDelay)
-		if err := c.start(proxyAddr, network, proxy.Handler(), cfg.EventLoop && cfg.WatchDelay == 0); err != nil {
+		if err := c.start(proxyAddr, network, proxy.Handler(), cfg.WatchDelay == 0); err != nil {
 			c.Close()
 			return nil, err
 		}
 		for _, addr := range replicas {
 			vs := NewVideoServer(addr, network, cfg.Catalog, cfg.Secret, n.Clock(), cfg.Throttle)
-			if err := c.start(addr, network, vs.Handler(), cfg.EventLoop && cfg.Throttle == nil); err != nil {
+			if err := c.start(addr, network, vs.Handler(), cfg.Throttle == nil); err != nil {
 				c.Close()
 				return nil, err
 			}
@@ -278,6 +270,11 @@ func (c *Cluster) start(addr, network string, h http.Handler, evented bool) erro
 	// utilisation is observable (Cluster.Loads) and exact under
 	// population-scale concurrent fleets. With evented, the same server
 	// side runs as per-connection state machines on the event loop.
+	// Every server whose handler never parks serves evented — web
+	// proxies when WatchDelay is zero, video servers when Throttle is
+	// nil; the event engine runs handlers inline in clock callbacks,
+	// which must not park, so parking handlers keep the blocking
+	// engine.
 	opts := []httpx.ServerOption{httpx.WithRequestHooks(inst.load.start, inst.load.done)}
 	if evented {
 		opts = append(opts, httpx.WithEventLoop())

@@ -68,7 +68,7 @@ type (
 	// Phase labels pre-buffering versus re-buffering traffic.
 	Phase = core.Phase
 	// EventedSession is the handle of a session started with
-	// Client.StreamEvented (the event-loop engine).
+	// Client.StreamEvented.
 	EventedSession = core.EventedSession
 	// Resilience configures circuit breakers, health-scored source
 	// selection and hedged requests per path (SessionConfig.Resilience).

@@ -73,11 +73,12 @@ type Profile struct {
 	// Real-time runs sleep for wall-clock time (divided by the scale)
 	// and are therefore subject to OS timer granularity.
 	RealTimeScale float64
-	// EventLoop serves the origin cluster's eligible servers as
-	// event-loop state machines instead of parked per-connection
-	// goroutines (see origin.ClusterConfig.EventLoop). Wire-identical to
-	// the goroutine engine; fleet runs flip it together with the evented
-	// session engine to keep the whole world O(cores) in goroutines.
+	// EventLoop has no effect.
+	//
+	// Deprecated: the origin cluster always serves as event-loop state
+	// machines wherever its handlers never park, and sessions always run
+	// on the event loop. The field is kept so existing callers that set
+	// it still compile.
 	EventLoop bool
 }
 
@@ -168,7 +169,6 @@ func NewTestbed(p Profile) (*Testbed, error) {
 		Handshake:          p.Handshake,
 		ServerDelay:        p.ServerDelay,
 		Throttle:           p.Throttle,
-		EventLoop:          p.EventLoop,
 	})
 	if err != nil {
 		clock.Stop()
@@ -375,9 +375,8 @@ func (tb *Testbed) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, err
 
 // NewSession builds a core player for cfg on this client's access links
 // without starting it. Sessions on distinct clients are independent and
-// may run concurrently; each registers its own goroutines with the
-// shared clock, so a fleet of sessions advances deterministically in
-// one virtual-time world.
+// may run concurrently on the shared clock, so a fleet of sessions
+// advances deterministically in one virtual-time world.
 func (c *Client) NewSession(cfg SessionConfig) (*core.Player, error) {
 	tb := c.tb
 	video := cfg.Video
@@ -431,7 +430,9 @@ func (c *Client) NewSession(cfg SessionConfig) (*core.Player, error) {
 
 // Stream runs a session on this client to completion and returns its
 // metrics. The calling goroutine must not already be registered with
-// the testbed clock; registered callers (fleet sessions) use StreamAs.
+// the testbed clock; registered callers (fleet runs) use StreamEvented.
+// Cancelling ctx ends the session at the virtual instant the driver
+// observes it and returns the metrics sealed there with ctx.Err().
 func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
@@ -440,25 +441,13 @@ func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error
 	return p.Run(ctx)
 }
 
-// StreamAs runs a session on this client on behalf of an
-// already-registered clock participant (e.g. a fleet session goroutine
-// spawned with Clock.Go): the session's top-level waits park through
-// part instead of registering a second time.
-func (c *Client) StreamAs(ctx context.Context, part *netem.Participant, cfg SessionConfig) (*Metrics, error) {
-	p, err := c.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunAs(ctx, part)
-}
-
 // StreamEvented starts a session on this client as event-loop state
 // machines on loop and returns immediately; done receives the metrics
-// at the virtual instant StreamAs would have returned. The caller (or
-// some other registered participant) must keep the clock alive while
-// the session runs; on a stopped clock, Interrupt the returned handle
-// to collect the partial result. Both engines are wire-identical and
-// produce identical Metrics per seed.
+// at the virtual instant the session's last machine unwinds. Many
+// sessions may share one loop. The caller (or some other registered
+// participant) must keep the clock alive while the session runs; on a
+// stopped clock, Interrupt the returned handle to collect the partial
+// result.
 func (c *Client) StreamEvented(loop *netem.Loop, cfg SessionConfig, done func(*Metrics, error)) (*EventedSession, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
